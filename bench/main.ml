@@ -154,7 +154,7 @@ let run_fig4 ~tasks ~instances =
   section (Printf.sprintf "Figure 4: normalized schedule lengths (V = %d graphs)" tasks);
   let cells =
     E.Nsl_exp.run
-      ~domains:(Flb_prelude.Parallel.recommended_domains ())
+      ~domains:(Flb_prelude.Workers.recommended_domains ())
       ~suite:(E.Workload_suite.fig4_suite ~tasks ())
       ~instances_per_cell:instances ()
   in
@@ -229,7 +229,7 @@ let run_ablation ~tasks ~instances =
   in
   let cells =
     E.Nsl_exp.run
-      ~domains:(Flb_prelude.Parallel.recommended_domains ())
+      ~domains:(Flb_prelude.Workers.recommended_domains ())
       ~algorithms
       ~suite:(E.Workload_suite.fig4_suite ~tasks ())
       ~procs:[ 4; 16 ] ~instances_per_cell:instances ()
@@ -296,7 +296,7 @@ let run_multistep ~quick =
   in
   let cells =
     E.Nsl_exp.run
-      ~domains:(Flb_prelude.Parallel.recommended_domains ())
+      ~domains:(Flb_prelude.Workers.recommended_domains ())
       ~algorithms
       ~suite:(E.Workload_suite.fig4_suite ~tasks:(if quick then 300 else 1000) ())
       ~procs:[ 4; 16 ]
@@ -341,7 +341,7 @@ let run_random_suite ~quick =
   section "Random/irregular structures: NSL vs MCP beyond the paper's kernels";
   let cells =
     E.Nsl_exp.run
-      ~domains:(Flb_prelude.Parallel.recommended_domains ())
+      ~domains:(Flb_prelude.Workers.recommended_domains ())
       ~suite:(E.Workload_suite.random_suite ~tasks:(if quick then 400 else 2000) ())
       ~procs:[ 4; 16 ]
       ~instances_per_cell:(if quick then 2 else 3)
@@ -579,7 +579,7 @@ let () =
       write_csv csv_dir "fig4_nsl.csv"
         (E.Nsl_exp.to_csv
            (E.Nsl_exp.run
-              ~domains:(Flb_prelude.Parallel.recommended_domains ())
+              ~domains:(Flb_prelude.Workers.recommended_domains ())
               ~suite:(E.Workload_suite.fig4_suite ~tasks ())
               ~instances_per_cell:instances ()))
   end;

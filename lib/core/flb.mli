@@ -18,9 +18,9 @@ open! Flb_platform
       non-EP queue ordered by LMT and a global processor queue ordered
       by ready time.
 
-    Every queue is an {!Flb_heap.Indexed_heap}, so one iteration costs
-    O(log W + log P) amortized and the whole schedule
-    O(V (log W + log P) + E).
+    Every queue is an {!Flb_heap.Flat_heap} (an addressable binary heap
+    over unboxed float keys), so one iteration costs O(log W + log P)
+    amortized and the whole schedule O(V (log W + log P) + E).
 
     Tie-breaking follows the paper: queue ties prefer the larger bottom
     level (longest exit path, computation + communication), and when

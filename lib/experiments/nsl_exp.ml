@@ -50,7 +50,7 @@ let run ?(domains = 1) ?(algorithms = Registry.paper_set)
         })
       algorithms
   in
-  List.concat (Parallel.map ~domains run_job jobs)
+  List.concat (Workers.map ~domains run_job jobs)
 
 let panels cells =
   List.sort_uniq compare (List.map (fun c -> (c.workload, c.ccr)) cells)

@@ -28,7 +28,7 @@ val run :
     {!Workload_suite.fig4_suite} at 2000 tasks, CCR {0.2, 5.0},
     P in {2 .. 32}, 5 instances. NSL is computed per instance and
     averaged. [domains] > 1 fans the grid out over that many OCaml 5
-    domains ({!Flb_prelude.Parallel.map}); results are identical to the
+    domains ({!Flb_prelude.Workers.map}); results are identical to the
     sequential run. *)
 
 val render : cell list -> string

@@ -65,13 +65,10 @@ let run ?(config = Engine.default_config) sched =
     let h = Schedule.proc sched s in
     Deque.push_back deques.(if State.is_dead st h then d else h) s
   in
-  let worker d =
+  let make_step d =
     let rng = Rng.create ~seed:(config.Engine.seed + (d * 0x9E3779B9)) in
-    State.wait_start st;
-    let busy = ref 0.0 in
     let backoff = ref 0 in
     let fails = ref 0 in
-    let t_begin = Clock.now_ns () in
     let run_one ~slowdown t =
       backoff := 0;
       fails := 0;
@@ -84,9 +81,7 @@ let run ?(config = Engine.default_config) sched =
         done
       end;
       State.count_hint st ~hit:(Schedule.proc sched t = d);
-      busy :=
-        !busy +. State.run_task_enqueue st ~domain:d ~slowdown ~on_ready:(route d) t;
-      st.State.d_tasks.(d) <- st.State.d_tasks.(d) + 1
+      State.run_task_enqueue st ~domain:d ~slowdown ~on_ready:(route d) t
     in
     let charge_migration ts =
       if config.Engine.charge_comm && config.Engine.unit_ns > 0.0 then begin
@@ -101,7 +96,7 @@ let run ?(config = Engine.default_config) sched =
           ts
       end
     in
-    let step ~slowdown =
+    fun ~slowdown ->
       match Deque.pop_back deques.(d) with
       | Some t -> run_one ~slowdown t
       | None ->
@@ -151,16 +146,5 @@ let run ?(config = Engine.default_config) sched =
             Deque.push_front_batch deques.(d) rest;
             run_one ~slowdown t
         end
-    in
-    State.worker_loop st ~domain:d ~step ();
-    let wall = Clock.now_ns () -. t_begin in
-    st.State.d_busy_ns.(d) <- !busy;
-    st.State.d_idle_ns.(d) <- Float.max 0.0 (wall -. !busy)
   in
-  let team =
-    Flb_prelude.Workers.spawn ~count:dnum ~on_exn:(fun d _ -> State.mark_dead st d)
-      worker
-  in
-  State.release st;
-  Flb_prelude.Workers.join team;
-  State.outcome st ~wall_ns:(Clock.now_ns () -. st.State.start_ns)
+  State.run_team st make_step

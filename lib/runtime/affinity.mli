@@ -1,3 +1,4 @@
+open! Flb_taskgraph
 open! Flb_platform
 
 (** Locality-aware work-stealing engine: FLB's schedule demoted from
@@ -31,3 +32,8 @@ val run : ?config:Engine.config -> Schedule.t -> Engine.outcome
     @raise Invalid_argument if [config.domains] differs from the
     schedule's processor count, or on a bad config (see
     {!Engine.State.create}). *)
+
+val migration_costs : Taskgraph.t -> float array
+(** Heaviest in-edge weight of each task (0 for entry tasks): the data a
+    thief pulls away from the task's hinted domain, priced through
+    [Machine.comm_time]. *)

@@ -351,6 +351,8 @@ module State = struct
     let t1 = Clock.now_ns () in
     st.finish_ns.(t) <- t1;
     st.exec_domain.(t) <- domain;
+    st.d_tasks.(domain) <- st.d_tasks.(domain) + 1;
+    st.d_busy_ns.(domain) <- st.d_busy_ns.(domain) +. (t1 -. t0);
     Taskgraph.iter_succs g t (fun s _ ->
         if Atomic.fetch_and_add st.indegree.(s) (-1) = 1 then on_ready s);
     ignore (Atomic.fetch_and_add st.completed 1);
@@ -366,11 +368,7 @@ module State = struct
         ~ts:((t0 -. st.start_ns) /. 1e9)
         ~dur:((t1 -. t0) /. 1e9);
       Mutex.unlock st.trace_lock
-    end;
-    t1 -. t0
-
-  let run_task st ~domain ~slowdown t =
-    run_task_enqueue st ~domain ~slowdown ~on_ready:ignore t
+    end
 
   let count_hint st ~hit =
     ignore (Atomic.fetch_and_add (if hit then st.hint_hits else st.hint_misses) 1)
@@ -439,4 +437,25 @@ module State = struct
     Option.iter (fun m -> emit_metrics m o) st.cfg.metrics;
     dump_flight ~reason:"end" st;
     o
+
+  let run_team st ?finished make_step =
+    let worker d =
+      let step = make_step d in
+      wait_start st;
+      let t_begin = Clock.now_ns () in
+      worker_loop st ~domain:d ?finished ~step ();
+      let wall = Clock.now_ns () -. t_begin in
+      st.d_idle_ns.(d) <- Float.max 0.0 (wall -. st.d_busy_ns.(d))
+    in
+    (* A worker whose body raises is marked dead so survivors recover its
+       work instead of spinning on a completion count that can no longer
+       be reached. *)
+    let team =
+      Flb_prelude.Workers.spawn ~count:st.cfg.domains
+        ~on_exn:(fun d _ -> mark_dead st d)
+        worker
+    in
+    release st;
+    Flb_prelude.Workers.join team;
+    outcome st ~wall_ns:(Clock.now_ns () -. st.start_ns)
 end

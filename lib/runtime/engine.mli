@@ -8,7 +8,8 @@ open! Flb_platform
     ({!Calibrate}), dependences are enforced with atomic indegree
     counters over the graph's CSR arrays, and cross-domain edges are
     optionally charged their communication cost as a real-time delay
-    before the successor may start. Three engines share this interface:
+    before the successor may start. Three engines share this interface,
+    and one module replays them:
 
     - {!Static} pins every task to the domain a {!Schedule.t} chose and
       consumes each domain's queue in schedule order — the FLB story:
@@ -20,10 +21,10 @@ open! Flb_platform
       the schedule — the FLB placement demoted from pins to affinity
       hints that route enabled tasks, while steal-half thieves override
       them whenever load demands it;
-    - {!Virtual_clock} executes the same disciplines single-threaded
-      under a deterministic virtual clock, reproducing
-      [Flb_sim.Simulator.run] bit-for-bit, which is what makes the real
-      engines testable.
+    - {!Virtual_clock} replays the same three disciplines
+      single-threaded under a deterministic virtual clock, faults
+      included — its static replay reproduces [Flb_sim.Simulator.run]
+      bit-for-bit — which is what makes the real engines testable.
 
     Fault injection ({!Fault.spec}) perturbs a run with per-domain
     slowdowns, stall windows and fail-stop kills; the [recover] policy
@@ -160,7 +161,8 @@ val relax : int -> unit
 
 (** {1 Shared run-state plumbing}
 
-    Used by {!Static} and {!Steal}; not meant for external callers. *)
+    Used by {!Static}, {!Steal} and {!Affinity}; not meant for external
+    callers. *)
 
 module State : sig
   type t = {
@@ -177,8 +179,8 @@ module State : sig
     completed : int Atomic.t;
     dead : bool Atomic.t array;
     deaths : int Atomic.t;  (** count of domains marked dead so far *)
-    go : bool Atomic.t;  (** start gate; workers park until {!release} *)
-    mutable start_ns : float;  (** run epoch, set by {!release} *)
+    go : bool Atomic.t;  (** start gate; workers park until {!run_team} opens it *)
+    mutable start_ns : float;  (** run epoch, stamped by {!run_team} *)
     cal : Calibrate.t;
     flight : Flb_obs.Flight_recorder.t;
         (** always-on per-domain rings of recent events; dumped to
@@ -208,17 +210,8 @@ module State : sig
       sane for the team size, [unit_ns > 0] when faults are present) and
       builds the shared arrays. @raise Invalid_argument on a bad config. *)
 
-  val release : t -> unit
-  (** Stamp the run epoch and open the start gate. Call once, after
-      spawning the whole worker team: [Domain.spawn] costs milliseconds,
-      so letting workers park on the gate keeps spawn overhead out of
-      the measured makespan. *)
-
-  val wait_start : t -> unit
-  (** Park until {!release}; every worker's first action. *)
-
   val now_units : t -> float
-  (** Elapsed weight units since {!start} (0 when [unit_ns = 0]). *)
+  (** Elapsed weight units since the run epoch (0 when [unit_ns = 0]). *)
 
   val is_dead : t -> int -> bool
 
@@ -238,30 +231,20 @@ module State : sig
 
   val claimed : t -> int -> bool
 
-  val run_task : t -> domain:int -> slowdown:float -> int -> float
+  val run_task_enqueue :
+    t -> domain:int -> slowdown:float -> on_ready:(int -> unit) -> int -> unit
   (** Execute one ready task on the calling domain: wait out the
       message-arrival time implied by cross-domain predecessors (when
       [charge_comm]), burn [weight *. unit_ns *. slowdown] of spin-work,
-      publish finish time and executing domain, decrement successor
-      indegrees, bump the completion counter, trace a span. Returns the
-      busy nanoseconds spent. *)
-
-  val run_task_enqueue : t -> domain:int -> slowdown:float -> on_ready:(int -> unit) -> int -> float
-  (** Same, additionally calling [on_ready s] for every successor whose
-      indegree this completion dropped to zero (the stealing engine
-      pushes them onto the finisher's deque). *)
+      publish finish time and executing domain, add the task and its
+      busy time to the domain's [d_tasks] / [d_busy_ns], decrement
+      successor indegrees — calling [on_ready s] for every successor
+      this completion made ready (the stealing engines push them onto a
+      deque; the static engine passes [ignore]) — bump the completion
+      counter and trace a span. *)
 
   val count_hint : t -> hit:bool -> unit
   (** Bump the affinity-hint hit or miss counter for one executed task. *)
-
-  val worker_loop :
-    t -> domain:int -> ?finished:(unit -> bool) -> step:(slowdown:float -> unit) -> unit -> unit
-  (** The worker skeleton every engine shares: poll the domain's fault
-      clock ([Die] marks the domain dead and returns, [Stall_until]
-      relax-waits out the window), then call [step ~slowdown] while
-      [finished ()] is false (default: all tasks completed). The fault
-      decision deliberately precedes the completion check — a kill that
-      is due registers even when no work remains. *)
 
   val trace_instant : t -> domain:int -> ?args:(string * float) list -> string -> unit
   (** Emit a named instant: always into the domain's flight ring
@@ -276,9 +259,20 @@ module State : sig
       path). Dumps carry a meta line with the reason, engine, domain
       count, unit_ns and trace id. Never raises. *)
 
-  val outcome : t -> wall_ns:float -> outcome
-  (** Assemble the outcome and, when configured, {!emit_metrics}.
-      [real_ns] is the last task's finish timestamp minus the epoch
-      (spawn/join overhead excluded); [wall_ns] is the fallback when no
-      task executed at all. *)
+  val run_team : t -> ?finished:(unit -> bool) -> (int -> slowdown:float -> unit) -> outcome
+  (** The team lifecycle every engine shares. Spawns one worker per
+      domain; worker [d] builds its step function with [make_step d],
+      parks on the start gate, then loops: poll the domain's fault clock
+      ([Die] marks the domain dead and stops, [Stall_until] relax-waits
+      out the window), then [step ~slowdown] while [finished ()] is
+      false (default: all tasks completed). The fault decision
+      deliberately precedes the completion check — a kill that is due
+      registers even when no work remains. The epoch is stamped and the
+      gate opened only once the whole team is spawned, since
+      [Domain.spawn] costs milliseconds. A worker that raises is marked
+      dead. After the join, each domain's idle time is its wall time
+      minus [d_busy_ns], and the outcome is assembled, emitted as
+      metrics when configured, and the flight rings dumped. [real_ns]
+      is the last task's finish minus the epoch (spawn and join
+      excluded), or the wall time when no task executed. *)
 end

@@ -159,11 +159,8 @@ let run ?(config = Engine.default_config) sched =
             Atomic.set deaths_handled d_now
           end)
   in
-  let worker d =
-    State.wait_start st;
-    let busy = ref 0.0 in
+  let make_step d =
     let fruitless = ref 0 in
-    let t_begin = Clock.now_ns () in
     let run_one ~slowdown ~recovering t =
       fruitless := 0;
       if recovering then begin
@@ -173,8 +170,7 @@ let run ?(config = Engine.default_config) sched =
       (* A recovered task runs on a survivor, away from its scheduled
          placement — the static engine's only source of hint misses. *)
       State.count_hint st ~hit:(not recovering);
-      busy := !busy +. State.run_task st ~domain:d ~slowdown t;
-      st.State.d_tasks.(d) <- st.State.d_tasks.(d) + 1
+      State.run_task_enqueue st ~domain:d ~slowdown ~on_ready:ignore t
     in
     (* Under rescheduling a task can transiently sit in two queues (the
        pre-swap one it was taken from and the post-swap plan); the claim
@@ -187,6 +183,27 @@ let run ?(config = Engine.default_config) sched =
       incr fruitless;
       Engine.relax !fruitless
     in
+    let take_dead_front () =
+      let rec scan v =
+        if v >= procs then None
+        else if v <> d && State.is_dead st v then
+          match Deque.take_front_if queues.(v) (State.ready st) with
+          | Some _ as taken -> taken
+          | None -> scan (v + 1)
+        else scan (v + 1)
+      in
+      scan 0
+    in
+    (* Own queue first — the placement is only overridden for the queues
+       of dead domains, whose fronts any survivor may take. *)
+    let own_then_dead run ~slowdown =
+      match Deque.take_front_if queues.(d) (State.ready st) with
+      | Some t -> run ~slowdown ~recovering:false t
+      | None -> (
+        match take_dead_front () with
+        | Some t -> run ~slowdown ~recovering:true t
+        | None -> idle ())
+    in
     let step_none ~slowdown =
       (* Doomed tasks never become ready and would block the queue front
          forever; pull them off and drop them. *)
@@ -194,70 +211,21 @@ let run ?(config = Engine.default_config) sched =
       | Some t -> if doomed.(t) then fruitless := 0 else run_one ~slowdown ~recovering:false t
       | None -> idle ()
     in
-    let step_steal ~slowdown =
-      (* Own queue first — the placement is only overridden for the
-         queues of dead domains, whose fronts any survivor may take. *)
-      match Deque.take_front_if queues.(d) (State.ready st) with
-      | Some t -> run_one ~slowdown ~recovering:false t
-      | None ->
-        let taken = ref false in
-        for v = 0 to procs - 1 do
-          if (not !taken) && v <> d && State.is_dead st v then
-            match Deque.take_front_if queues.(v) (State.ready st) with
-            | Some t ->
-              taken := true;
-              run_one ~slowdown ~recovering:true t
-            | None -> ()
-        done;
-        if not !taken then idle ()
-    in
-    let step_resched ~slowdown =
-      if Atomic.get paused then idle ()
-      else
-        match Deque.take_front_if queues.(d) (State.ready st) with
-        | Some t -> claim_and_run ~slowdown ~recovering:false t
-        | None ->
-          (* Backstop for the window between a death and the queue swap:
-             dead fronts may be claimed, exactly as under Steal_queues.
-             After the swap dead queues are empty. *)
-          let taken = ref false in
-          for v = 0 to procs - 1 do
-            if (not !taken) && v <> d && State.is_dead st v then
-              match Deque.take_front_if queues.(v) (State.ready st) with
-              | Some t ->
-                taken := true;
-                claim_and_run ~slowdown ~recovering:true t
-              | None -> ()
-          done;
-          if not !taken then idle ()
-    in
-    let finished () =
+    fun ~slowdown ->
       match config.recover with
       | Engine.No_recovery ->
-        Atomic.get st.State.completed + Atomic.get abandoned >= n
-      | Engine.Steal_queues | Engine.Resched _ -> Atomic.get st.State.completed >= n
-    in
-    let step ~slowdown =
-      (match config.recover with
-      | Engine.No_recovery | Engine.Resched _ -> maybe_coordinate d
-      | Engine.Steal_queues -> ());
-      match config.recover with
-      | Engine.No_recovery -> step_none ~slowdown
-      | Engine.Steal_queues -> step_steal ~slowdown
-      | Engine.Resched _ -> step_resched ~slowdown
-    in
-    State.worker_loop st ~domain:d ~finished ~step ();
-    let wall = Clock.now_ns () -. t_begin in
-    st.State.d_busy_ns.(d) <- !busy;
-    st.State.d_idle_ns.(d) <- Float.max 0.0 (wall -. !busy)
+        maybe_coordinate d;
+        step_none ~slowdown
+      | Engine.Steal_queues -> own_then_dead run_one ~slowdown
+      | Engine.Resched _ ->
+        maybe_coordinate d;
+        (* Between a death and the queue swap dead fronts may be claimed,
+           exactly as under Steal_queues; after the swap they are empty. *)
+        if Atomic.get paused then idle () else own_then_dead claim_and_run ~slowdown
   in
-  (* A worker whose body raises is marked dead so survivors recover its
-     queue instead of spinning on a completion count that can no longer
-     be reached. *)
-  let team =
-    Flb_prelude.Workers.spawn ~count:procs ~on_exn:(fun d _ -> State.mark_dead st d)
-      worker
+  let finished () =
+    match config.recover with
+    | Engine.No_recovery -> Atomic.get st.State.completed + Atomic.get abandoned >= n
+    | Engine.Steal_queues | Engine.Resched _ -> Atomic.get st.State.completed >= n
   in
-  State.release st;
-  Flb_prelude.Workers.join team;
-  State.outcome st ~wall_ns:(Clock.now_ns () -. st.State.start_ns)
+  State.run_team st ~finished make_step

@@ -16,26 +16,20 @@ let run ?(config = Engine.default_config) g =
       incr next
     end
   done;
-  let worker d =
+  let make_step d =
     let rng = Rng.create ~seed:(config.Engine.seed + (d * 0x9E3779B9)) in
-    State.wait_start st;
-    let busy = ref 0.0 in
     let backoff = ref 0 in
-    let t_begin = Clock.now_ns () in
     (* The hint of a task is the deque it was placed in (its enabling
        domain, or its round-robin seed slot): popping one's own deque is
        a locality hit, having to steal is a miss. *)
     let run_one ~slowdown ~hit t =
       backoff := 0;
       State.count_hint st ~hit;
-      busy :=
-        !busy
-        +. State.run_task_enqueue st ~domain:d ~slowdown
-             ~on_ready:(Deque.push_back deques.(d))
-             t;
-      st.State.d_tasks.(d) <- st.State.d_tasks.(d) + 1
+      State.run_task_enqueue st ~domain:d ~slowdown
+        ~on_ready:(Deque.push_back deques.(d))
+        t
     in
-    let step ~slowdown =
+    fun ~slowdown ->
       match Deque.pop_back deques.(d) with
       | Some t -> run_one ~slowdown ~hit:true t
       | None ->
@@ -66,16 +60,5 @@ let run ?(config = Engine.default_config) g =
             backoff := Int.min (!backoff + 1) max_backoff;
             Engine.relax !backoff
         end
-    in
-    State.worker_loop st ~domain:d ~step ();
-    let wall = Clock.now_ns () -. t_begin in
-    st.State.d_busy_ns.(d) <- !busy;
-    st.State.d_idle_ns.(d) <- Float.max 0.0 (wall -. !busy)
   in
-  let team =
-    Flb_prelude.Workers.spawn ~count:dnum ~on_exn:(fun d _ -> State.mark_dead st d)
-      worker
-  in
-  State.release st;
-  Flb_prelude.Workers.join team;
-  State.outcome st ~wall_ns:(Clock.now_ns () -. st.State.start_ns)
+  State.run_team st make_step

@@ -8,280 +8,6 @@ type outcome = {
   finish : float array;
   exec_domain : int array;
   makespan : float;
-  per_domain_tasks : int array;
-  steals : int;
-  hint_hits : int;
-  hint_misses : int;
-}
-
-(* The event-driven simulator dispatches a processor's head task at the
-   later of "processor became idle" and "last message arrived", where a
-   zero-latency message arrives at the sender's exact finish float and a
-   positive-latency one at [finish +. latency]. Those event times are
-   reproduced here by a fixpoint sweep over the per-processor queues —
-   same floats in, same float operations, bit-identical times out. *)
-let run_static sched =
-  let g = Schedule.graph sched in
-  let machine = Schedule.machine sched in
-  let n = Taskgraph.num_tasks g in
-  let p = Schedule.num_procs sched in
-  let queues = Array.map Array.of_list (Engine.plan_of_schedule sched) in
-  let qpos = Array.make p 0 in
-  let proc_free = Array.make p 0.0 in
-  let pending = Array.init n (Taskgraph.in_degree g) in
-  let start = Array.make n Float.nan in
-  let finish = Array.make n Float.nan in
-  let executed = ref 0 in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    for pr = 0 to p - 1 do
-      let head_runs = ref true in
-      while !head_runs do
-        if qpos.(pr) >= Array.length queues.(pr) then head_runs := false
-        else begin
-          let t = queues.(pr).(qpos.(pr)) in
-          if pending.(t) > 0 then head_runs := false
-          else begin
-            let at = ref proc_free.(pr) in
-            Taskgraph.iter_preds g t (fun pd w ->
-                let latency =
-                  Machine.comm_time machine ~src:(Schedule.proc sched pd) ~dst:pr
-                    ~cost:w
-                in
-                let arrival =
-                  if latency = 0.0 then finish.(pd) else finish.(pd) +. latency
-                in
-                at := Float.max !at arrival);
-            start.(t) <- !at;
-            finish.(t) <- !at +. Taskgraph.comp g t;
-            proc_free.(pr) <- finish.(t);
-            Taskgraph.iter_succs g t (fun s _ -> pending.(s) <- pending.(s) - 1);
-            qpos.(pr) <- qpos.(pr) + 1;
-            incr executed;
-            progress := true
-          end
-        end
-      done
-    done
-  done;
-  if !executed < n then
-    invalid_arg "Virtual_clock.run_static: replay deadlocked (inconsistent order)";
-  {
-    start;
-    finish;
-    exec_domain = Array.init n (Schedule.proc sched);
-    makespan = Array.fold_left Float.max 0.0 finish;
-    per_domain_tasks = Array.map Array.length queues;
-    steals = 0;
-    (* Every task runs exactly where the schedule placed it. *)
-    hint_hits = n;
-    hint_misses = 0;
-  }
-
-let run_steal ?(charge_comm = true) ~domains g =
-  if domains < 1 then invalid_arg "Virtual_clock.run_steal: domains must be >= 1";
-  let n = Taskgraph.num_tasks g in
-  let pending = Array.init n (Taskgraph.in_degree g) in
-  let deques = Array.init domains (fun _ -> Deque.create ()) in
-  let next = ref 0 in
-  for t = 0 to n - 1 do
-    if Taskgraph.in_degree g t = 0 then begin
-      Deque.push_back deques.(!next mod domains) t;
-      incr next
-    end
-  done;
-  let vt = Array.make domains 0.0 in
-  let exec_domain = Array.make n (-1) in
-  let start = Array.make n Float.nan in
-  let finish = Array.make n Float.nan in
-  let per_domain_tasks = Array.make domains 0 in
-  let steals = ref 0 in
-  let executed = ref 0 in
-  while !executed < n do
-    (* The earliest-free domain acts next; ties to the lowest id. *)
-    let d = ref 0 in
-    for i = 1 to domains - 1 do
-      if vt.(i) < vt.(!d) then d := i
-    done;
-    let d = !d in
-    let task =
-      match Deque.pop_back deques.(d) with
-      | Some _ as t -> t
-      | None ->
-        let found = ref None in
-        for k = 1 to domains - 1 do
-          if !found = None then begin
-            match Deque.take_front deques.((d + k) mod domains) with
-            | Some _ as t ->
-              incr steals;
-              found := t
-            | None -> ()
-          end
-        done;
-        !found
-    in
-    match task with
-    | None ->
-      (* Unreachable on a DAG: every unexecuted task with indegree 0 sits
-         in exactly one deque, and some such task must exist. *)
-      invalid_arg "Virtual_clock.run_steal: no runnable task (graph has a cycle?)"
-    | Some t ->
-      let ready = ref 0.0 in
-      Taskgraph.iter_preds g t (fun pd w ->
-          let r =
-            if charge_comm && exec_domain.(pd) <> d then finish.(pd) +. w
-            else finish.(pd)
-          in
-          ready := Float.max !ready r);
-      let s = Float.max vt.(d) !ready in
-      start.(t) <- s;
-      finish.(t) <- s +. Taskgraph.comp g t;
-      vt.(d) <- finish.(t);
-      exec_domain.(t) <- d;
-      per_domain_tasks.(d) <- per_domain_tasks.(d) + 1;
-      incr executed;
-      Taskgraph.iter_succs g t (fun su _ ->
-          pending.(su) <- pending.(su) - 1;
-          if pending.(su) = 0 then Deque.push_back deques.(d) su)
-  done;
-  {
-    start;
-    finish;
-    exec_domain;
-    makespan = Array.fold_left Float.max 0.0 finish;
-    per_domain_tasks;
-    steals = !steals;
-    (* A task's hint is the deque it was placed in, so each steal is
-       exactly one miss — matching the real engine's accounting. *)
-    hint_hits = n - !steals;
-    hint_misses = !steals;
-  }
-
-(* Deterministic rendition of {!Affinity.run}: domains act in
-   lowest-virtual-time-first order (ties to the lowest id); each deque is
-   seeded with its scheduled entry tasks and a newly enabled task is
-   routed to the deque of its hinted (scheduled) processor. An empty
-   domain steals half of the {e deepest} other deque — the load-aware
-   victim rule, with the random two-victim probe collapsed to its
-   deterministic limit — runs the oldest stolen task and keeps the rest
-   at its own front. Each stolen task whose hint is not the thief is
-   stamped with a transfer deadline — steal instant plus
-   [Machine.comm_time] for its heaviest in-edge — and may not start
-   before it, exactly as the real engine prices migration (transfers
-   overlap with whatever the thief runs first). *)
-let run_affinity ?(charge_comm = true) sched =
-  let g = Schedule.graph sched in
-  let machine = Schedule.machine sched in
-  let n = Taskgraph.num_tasks g in
-  let domains = Schedule.num_procs sched in
-  let mig_cost =
-    Array.init n (fun t ->
-        let m = ref 0.0 in
-        Taskgraph.iter_preds g t (fun _ w -> if w > !m then m := w);
-        !m)
-  in
-  let pending = Array.init n (Taskgraph.in_degree g) in
-  (* Reversed so the owner's LIFO back yields schedule order, as in the
-     real engine's seeding. *)
-  let deques =
-    Array.map
-      (fun tasks ->
-        Deque.of_list
-          (List.rev (List.filter (fun t -> Taskgraph.in_degree g t = 0) tasks)))
-      (Engine.plan_of_schedule sched)
-  in
-  let vt = Array.make domains 0.0 in
-  let mig_deadline = Array.make n 0.0 in
-  let exec_domain = Array.make n (-1) in
-  let start = Array.make n Float.nan in
-  let finish = Array.make n Float.nan in
-  let per_domain_tasks = Array.make domains 0 in
-  let steals = ref 0 in
-  let hint_hits = ref 0 in
-  let hint_misses = ref 0 in
-  let executed = ref 0 in
-  while !executed < n do
-    let d = ref 0 in
-    for i = 1 to domains - 1 do
-      if vt.(i) < vt.(!d) then d := i
-    done;
-    let d = !d in
-    let task =
-      match Deque.pop_back deques.(d) with
-      | Some _ as t -> t
-      | None ->
-        let victim = ref (-1) and depth = ref 0 in
-        for k = 1 to domains - 1 do
-          let v = (d + k) mod domains in
-          let len = Deque.length deques.(v) in
-          if len > !depth then begin
-            depth := len;
-            victim := v
-          end
-        done;
-        if !victim < 0 then None
-        else begin
-          match Deque.steal_half deques.(!victim) with
-          | [] -> None
-          | t :: rest as batch ->
-            incr steals;
-            if charge_comm then
-              List.iter
-                (fun s ->
-                  let h = Schedule.proc sched s in
-                  if h <> d then
-                    mig_deadline.(s) <-
-                      vt.(d)
-                      +. Machine.comm_time machine ~src:h ~dst:d ~cost:mig_cost.(s))
-                batch;
-            Deque.push_front_batch deques.(d) rest;
-            Some t
-        end
-    in
-    match task with
-    | None ->
-      (* Unreachable on a DAG: every unexecuted indegree-0 task sits in
-         exactly one deque, and some such task must exist. *)
-      invalid_arg "Virtual_clock.run_affinity: no runnable task (graph has a cycle?)"
-    | Some t ->
-      let ready = ref mig_deadline.(t) in
-      Taskgraph.iter_preds g t (fun pd w ->
-          let r =
-            if charge_comm && exec_domain.(pd) <> d then finish.(pd) +. w
-            else finish.(pd)
-          in
-          ready := Float.max !ready r);
-      let s = Float.max vt.(d) !ready in
-      start.(t) <- s;
-      finish.(t) <- s +. Taskgraph.comp g t;
-      vt.(d) <- finish.(t);
-      exec_domain.(t) <- d;
-      per_domain_tasks.(d) <- per_domain_tasks.(d) + 1;
-      if Schedule.proc sched t = d then incr hint_hits else incr hint_misses;
-      incr executed;
-      Taskgraph.iter_succs g t (fun su _ ->
-          pending.(su) <- pending.(su) - 1;
-          if pending.(su) = 0 then Deque.push_back deques.(Schedule.proc sched su) su)
-  done;
-  {
-    start;
-    finish;
-    exec_domain;
-    makespan = Array.fold_left Float.max 0.0 finish;
-    per_domain_tasks;
-    steals = !steals;
-    hint_hits = !hint_hits;
-    hint_misses = !hint_misses;
-  }
-
-(* --- fault-injected variants --- *)
-
-type faulty_outcome = {
-  start : float array;
-  finish : float array;
-  exec_domain : int array;
-  makespan : float;
   completed : int;
   total : int;
   killed : int;
@@ -293,7 +19,12 @@ type faulty_outcome = {
   per_domain_tasks : int array;
 }
 
-let faulty_complete o = o.completed = o.total
+let complete o = o.completed = o.total
+
+let check_faults faults ~domains =
+  match Fault.validate faults ~domains with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Virtual_clock: " ^ Fault.error_to_string e)
 
 (* Earliest instant at or after [x] that is outside every stall window
    of the domain. Windows are sorted by start; [x] only moves forward,
@@ -303,24 +34,23 @@ let next_allowed (df : Fault.domain_faults) x =
     (fun x (at, dur) -> if x >= at && x < at +. dur then at +. dur else x)
     x df.Fault.stalls
 
-(* Deterministic rendition of [Static.run] under faults: a global
-   event loop over per-domain claim events and death events, processed
-   in increasing virtual time (deaths before claims on ties, then lowest
-   domain, then a domain's own queue before a dead one's). A claim takes
-   the front of a queue at the later of the domain's free time and the
-   last message arrival, skipped past stall windows; a death fires at
-   [max (domain's free time) kill_at] — fail-stop between tasks. With an
-   empty fault spec no death or stall ever perturbs a claim and the
-   per-task recurrence is exactly {!run_static}'s fixpoint, so the
-   outcome matches it bit for bit. *)
-let run_static_faulty ?(faults = Fault.none) ?(recover = Engine.Steal_queues) sched =
+(* Deterministic rendition of [Static.run]: a global event loop over
+   per-domain claim events and death events, processed in increasing
+   virtual time (deaths before claims on ties, then lowest domain, then
+   a domain's own queue before a dead one's). A claim takes the front of
+   a queue at the later of the domain's free time and the last message
+   arrival, skipped past stall windows; a death fires at
+   [max (domain's free time) kill_at] — fail-stop between tasks. A
+   zero-latency message arrives at the sender's exact finish float and a
+   positive-latency one at [finish +. latency], the event times of
+   [Flb_sim.Simulator.run]: with no faults the replay is that
+   simulator's, bit for bit. *)
+let run_static ?(faults = Fault.none) ?(recover = Engine.Steal_queues) sched =
   let g = Schedule.graph sched in
   let machine = Schedule.machine sched in
   let n = Taskgraph.num_tasks g in
   let p = Schedule.num_procs sched in
-  (match Fault.validate faults ~domains:p with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Virtual_clock: " ^ Fault.error_to_string e));
+  check_faults faults ~domains:p;
   (match recover with
   | Engine.Resched algo when Reschedule.find algo = None ->
     invalid_arg
@@ -499,6 +229,10 @@ let run_static_faulty ?(faults = Fault.none) ?(recover = Engine.Steal_queues) sc
     end
     else running := false
   done;
+  (* Without a death nothing is lost, so a stop short of the end means
+     the per-processor order contradicts the dependences. *)
+  if !killed = 0 && !executed < n then
+    invalid_arg "Virtual_clock.run_static: replay deadlocked (inconsistent order)";
   {
     start;
     finish;
@@ -517,171 +251,49 @@ let run_static_faulty ?(faults = Fault.none) ?(recover = Engine.Steal_queues) sc
     per_domain_tasks;
   }
 
-(* Same discipline as {!run_steal}, with kills and stalls: dead domains
-   stop acting but their deques stay stealable, so recovery is the
-   stealing engine's natural behaviour. With an empty spec this follows
-   exactly the same action sequence as {!run_steal}. *)
-let run_steal_faulty ?(charge_comm = true) ?(faults = Fault.none) ~domains g =
-  if domains < 1 then
-    invalid_arg "Virtual_clock.run_steal_faulty: domains must be >= 1";
-  (match Fault.validate faults ~domains with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Virtual_clock: " ^ Fault.error_to_string e));
-  let df = Array.init domains (Fault.for_domain faults) in
-  let n = Taskgraph.num_tasks g in
-  let pending = Array.init n (Taskgraph.in_degree g) in
-  let deques = Array.init domains (fun _ -> Deque.create ()) in
-  let next = ref 0 in
-  for t = 0 to n - 1 do
-    if Taskgraph.in_degree g t = 0 then begin
-      Deque.push_back deques.(!next mod domains) t;
-      incr next
-    end
-  done;
-  let vt = Array.make domains 0.0 in
-  let dead = Array.make domains false in
-  let exec_domain = Array.make n (-1) in
-  let start = Array.make n Float.nan in
-  let finish = Array.make n Float.nan in
-  let per_domain_tasks = Array.make domains 0 in
-  let steals = ref 0 in
-  let killed = ref 0 in
-  let executed = ref 0 in
-  let running = ref true in
-  while !running && !executed < n do
-    (* The earliest-free alive domain acts next; ties to the lowest id.
-       Stall windows push its acting time forward. *)
-    let d = ref (-1) in
-    let at = ref Float.infinity in
-    for i = 0 to domains - 1 do
-      if not dead.(i) then begin
-        let a = next_allowed df.(i) vt.(i) in
-        if a < !at then begin
-          at := a;
-          d := i
-        end
-      end
-    done;
-    if !d < 0 then running := false
-    else begin
-      let d = !d in
-      if !at >= df.(d).Fault.kill_at then begin
-        dead.(d) <- true;
-        incr killed
-      end
-      else begin
-        let task =
-          match Deque.pop_back deques.(d) with
-          | Some _ as t -> t
-          | None ->
-            let found = ref None in
-            for k = 1 to domains - 1 do
-              if !found = None then begin
-                match Deque.take_front deques.((d + k) mod domains) with
-                | Some _ as t ->
-                  incr steals;
-                  found := t
-                | None -> ()
-              end
-            done;
-            !found
-        in
-        match task with
-        | None ->
-          (* Every unexecuted indegree-0 task sits in some deque (dead
-             ones included, which stay stealable), so an alive domain
-             always finds work while tasks remain. *)
-          invalid_arg "Virtual_clock.run_steal_faulty: no runnable task"
-        | Some t ->
-          let ready = ref 0.0 in
-          Taskgraph.iter_preds g t (fun pd w ->
-              let r =
-                if charge_comm && exec_domain.(pd) <> d then finish.(pd) +. w
-                else finish.(pd)
-              in
-              ready := Float.max !ready r);
-          let s = next_allowed df.(d) (Float.max !at !ready) in
-          start.(t) <- s;
-          finish.(t) <- s +. (Taskgraph.comp g t *. df.(d).Fault.slowdown);
-          vt.(d) <- finish.(t);
-          exec_domain.(t) <- d;
-          per_domain_tasks.(d) <- per_domain_tasks.(d) + 1;
-          incr executed;
-          Taskgraph.iter_succs g t (fun su _ ->
-              pending.(su) <- pending.(su) - 1;
-              if pending.(su) = 0 then Deque.push_back deques.(d) su)
-      end
-    end
-  done;
-  let makespan = Array.fold_left Float.max 0.0 vt in
-  (* Kills due before the team would have disbanded still register. *)
-  for i = 0 to domains - 1 do
-    if (not dead.(i)) && df.(i).Fault.kill_at <= makespan then incr killed
-  done;
-  {
-    start;
-    finish;
-    exec_domain;
-    makespan;
-    completed = !executed;
-    total = n;
-    killed = !killed;
-    rescheds = 0;
-    recovered = 0;
-    steals = !steals;
-    hint_hits = !executed - !steals;
-    hint_misses = !steals;
-    per_domain_tasks;
-  }
+(* --- the dynamic disciplines --- *)
 
-(* Same discipline as {!run_affinity}, with kills and stalls: dead
-   domains stop acting but their deques stay stealable (steal-half
-   thefts from a dead victim count the whole batch as [recovered]), and
-   hint routing falls back to the enabling domain while the hinted one
-   is dead. With an empty spec this follows exactly the same action
-   sequence as {!run_affinity}. *)
-let run_affinity_faulty ?(charge_comm = true) ?(faults = Fault.none) sched =
-  let g = Schedule.graph sched in
-  let machine = Schedule.machine sched in
-  let n = Taskgraph.num_tasks g in
-  let domains = Schedule.num_procs sched in
-  (match Fault.validate faults ~domains with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Virtual_clock: " ^ Fault.error_to_string e));
+(* What the shared loop lets a discipline's rules read and stamp. *)
+type dynamic_state = {
+  deques : Deque.t array;
+  dead : bool array;
+  not_before : float array;  (* per task; a steal may stamp a migration deadline *)
+}
+
+(* The loop both stealing disciplines run. The earliest-free alive
+   domain acts next (ties to the lowest id), its acting time pushed past
+   stall windows; a kill due by then fires instead. An acting domain
+   pops its own deque LIFO or applies the discipline's [steal] rule,
+   which returns the victim, the task to run and how many tasks it took.
+   The task starts at the later of the acting time and its readiness:
+   [not_before], and each predecessor's finish plus, across domains when
+   [charge_comm], the edge weight. [route] names the deque a newly ready
+   task joins and [hit] judges whether an execution honoured the task's
+   hint. Dead domains stop acting but their deques stay stealable, so
+   recovery needs no policy: whatever is taken from a dead victim counts
+   as [recovered]. *)
+let dynamic ~who ~charge_comm ~faults ~domains g ~seed ~steal ~route ~hit =
+  if domains < 1 then invalid_arg (who ^ ": domains must be >= 1");
+  check_faults faults ~domains;
   let df = Array.init domains (Fault.for_domain faults) in
-  let mig_cost =
-    Array.init n (fun t ->
-        let m = ref 0.0 in
-        Taskgraph.iter_preds g t (fun _ w -> if w > !m then m := w);
-        !m)
+  let n = Taskgraph.num_tasks g in
+  let s =
+    { deques = seed (); dead = Array.make domains false; not_before = Array.make n 0.0 }
   in
   let pending = Array.init n (Taskgraph.in_degree g) in
-  let deques =
-    Array.map
-      (fun tasks ->
-        Deque.of_list
-          (List.rev (List.filter (fun t -> Taskgraph.in_degree g t = 0) tasks)))
-      (Engine.plan_of_schedule sched)
-  in
   let vt = Array.make domains 0.0 in
-  let mig_deadline = Array.make n 0.0 in
-  let dead = Array.make domains false in
   let exec_domain = Array.make n (-1) in
   let start = Array.make n Float.nan in
   let finish = Array.make n Float.nan in
   let per_domain_tasks = Array.make domains 0 in
-  let steals = ref 0 in
-  let killed = ref 0 in
-  let recovered = ref 0 in
-  let hint_hits = ref 0 in
-  let hint_misses = ref 0 in
+  let steals = ref 0 and recovered = ref 0 and killed = ref 0 in
+  let hint_hits = ref 0 and hint_misses = ref 0 in
   let executed = ref 0 in
   let running = ref true in
   while !running && !executed < n do
-    let d = ref (-1) in
-    let at = ref Float.infinity in
+    let d = ref (-1) and at = ref Float.infinity in
     for i = 0 to domains - 1 do
-      if not dead.(i) then begin
+      if not s.dead.(i) then begin
         let a = next_allowed df.(i) vt.(i) in
         if a < !at then begin
           at := a;
@@ -691,81 +303,52 @@ let run_affinity_faulty ?(charge_comm = true) ?(faults = Fault.none) sched =
     done;
     if !d < 0 then running := false
     else begin
-      let d = !d in
-      if !at >= df.(d).Fault.kill_at then begin
-        dead.(d) <- true;
+      let d = !d and at = !at in
+      if at >= df.(d).Fault.kill_at then begin
+        s.dead.(d) <- true;
         incr killed
       end
       else begin
-        let task =
-          match Deque.pop_back deques.(d) with
-          | Some _ as t -> t
-          | None ->
-            let victim = ref (-1) and depth = ref 0 in
-            for k = 1 to domains - 1 do
-              let v = (d + k) mod domains in
-              let len = Deque.length deques.(v) in
-              if len > !depth then begin
-                depth := len;
-                victim := v
-              end
-            done;
-            if !victim < 0 then None
-            else begin
-              match Deque.steal_half deques.(!victim) with
-              | [] -> None
-              | t :: rest as batch ->
-                incr steals;
-                if dead.(!victim) then recovered := !recovered + List.length batch;
-                if charge_comm then
-                  List.iter
-                    (fun s ->
-                      let h = Schedule.proc sched s in
-                      if h <> d then
-                        mig_deadline.(s) <-
-                          !at
-                          +. Machine.comm_time machine ~src:h ~dst:d
-                               ~cost:mig_cost.(s))
-                    batch;
-                Deque.push_front_batch deques.(d) rest;
-                Some t
-            end
+        let t, stolen =
+          match Deque.pop_back s.deques.(d) with
+          | Some t -> (t, false)
+          | None -> (
+            match steal s ~domain:d ~now:at with
+            | Some (victim, t, taken) ->
+              incr steals;
+              if s.dead.(victim) then recovered := !recovered + taken;
+              (t, true)
+            | None ->
+              (* Every unexecuted indegree-0 task sits in some deque (dead
+                 ones included), so an alive domain always finds work
+                 while tasks remain. *)
+              invalid_arg (who ^ ": no runnable task (graph has a cycle?)"))
         in
-        match task with
-        | None ->
-          (* Every unexecuted indegree-0 task sits in some deque (dead
-             ones included, which stay stealable), so an alive domain
-             always finds work while tasks remain. *)
-          invalid_arg "Virtual_clock.run_affinity_faulty: no runnable task"
-        | Some t ->
-          let ready = ref mig_deadline.(t) in
-          Taskgraph.iter_preds g t (fun pd w ->
-              let r =
-                if charge_comm && exec_domain.(pd) <> d then finish.(pd) +. w
-                else finish.(pd)
-              in
-              ready := Float.max !ready r);
-          let s = next_allowed df.(d) (Float.max !at !ready) in
-          start.(t) <- s;
-          finish.(t) <- s +. (Taskgraph.comp g t *. df.(d).Fault.slowdown);
-          vt.(d) <- finish.(t);
-          exec_domain.(t) <- d;
-          per_domain_tasks.(d) <- per_domain_tasks.(d) + 1;
-          if Schedule.proc sched t = d then incr hint_hits else incr hint_misses;
-          incr executed;
-          Taskgraph.iter_succs g t (fun su _ ->
-              pending.(su) <- pending.(su) - 1;
-              if pending.(su) = 0 then begin
-                let h = Schedule.proc sched su in
-                Deque.push_back deques.(if dead.(h) then d else h) su
-              end)
+        let ready = ref s.not_before.(t) in
+        Taskgraph.iter_preds g t (fun pd w ->
+            let r =
+              if charge_comm && exec_domain.(pd) <> d then finish.(pd) +. w
+              else finish.(pd)
+            in
+            ready := Float.max !ready r);
+        let st = next_allowed df.(d) (Float.max at !ready) in
+        start.(t) <- st;
+        finish.(t) <- st +. (Taskgraph.comp g t *. df.(d).Fault.slowdown);
+        vt.(d) <- finish.(t);
+        exec_domain.(t) <- d;
+        per_domain_tasks.(d) <- per_domain_tasks.(d) + 1;
+        if hit ~domain:d ~stolen t then incr hint_hits else incr hint_misses;
+        incr executed;
+        Taskgraph.iter_succs g t (fun su _ ->
+            pending.(su) <- pending.(su) - 1;
+            if pending.(su) = 0 then Deque.push_back s.deques.(route s ~domain:d su) su)
       end
     end
   done;
   let makespan = Array.fold_left Float.max 0.0 vt in
   (* Kills due before the team would have disbanded still register. *)
   for i = 0 to domains - 1 do
-    if (not dead.(i)) && df.(i).Fault.kill_at <= makespan then incr killed
+    if (not s.dead.(i)) && df.(i).Fault.kill_at <= makespan then incr killed
   done;
   {
     start;
@@ -782,3 +365,91 @@ let run_affinity_faulty ?(charge_comm = true) ?(faults = Fault.none) sched =
     hint_misses = !hint_misses;
     per_domain_tasks;
   }
+
+(* {!Steal.run}'s discipline: entry tasks dealt round-robin by id, a
+   thief takes the front of the first non-empty deque scanning
+   round-robin from its right neighbour, and a newly ready task joins
+   the deque of the domain that enabled it. A task's hint is the deque
+   it was placed in, so each steal is exactly one miss. *)
+let run_steal ?(charge_comm = true) ?(faults = Fault.none) ~domains g =
+  let seed () =
+    let deques = Array.init domains (fun _ -> Deque.create ()) in
+    let next = ref 0 in
+    for t = 0 to Taskgraph.num_tasks g - 1 do
+      if Taskgraph.in_degree g t = 0 then begin
+        Deque.push_back deques.(!next mod domains) t;
+        incr next
+      end
+    done;
+    deques
+  in
+  let steal s ~domain ~now:_ =
+    let rec scan k =
+      if k >= domains then None
+      else
+        let v = (domain + k) mod domains in
+        match Deque.take_front s.deques.(v) with
+        | Some t -> Some (v, t, 1)
+        | None -> scan (k + 1)
+    in
+    scan 1
+  in
+  dynamic ~who:"Virtual_clock.run_steal" ~charge_comm ~faults ~domains g ~seed ~steal
+    ~route:(fun _ ~domain _ -> domain)
+    ~hit:(fun ~domain:_ ~stolen _ -> not stolen)
+
+(* {!Affinity.run}'s discipline: each deque is seeded with its
+   scheduled entry tasks (reversed, so the owner's LIFO back yields
+   schedule order) and a newly ready task is routed to its hinted
+   (scheduled) domain, or the enabling one while the hint is dead. An
+   empty domain steals half of the {e deepest} other deque — the random
+   two-victim probe collapsed to its deterministic limit — runs the
+   oldest stolen task and keeps the rest at its own front. Each stolen
+   task whose hint is not the thief may not start before its migration
+   deadline: the steal instant plus [Machine.comm_time] for its heaviest
+   in-edge, as the real engine prices it (transfers overlap with
+   whatever the thief runs first). *)
+let run_affinity ?(charge_comm = true) ?(faults = Fault.none) sched =
+  let g = Schedule.graph sched in
+  let machine = Schedule.machine sched in
+  let domains = Schedule.num_procs sched in
+  let mig_cost = Affinity.migration_costs g in
+  let seed () =
+    Array.map
+      (fun tasks ->
+        Deque.of_list
+          (List.rev (List.filter (fun t -> Taskgraph.in_degree g t = 0) tasks)))
+      (Engine.plan_of_schedule sched)
+  in
+  let steal s ~domain ~now =
+    let victim = ref (-1) and depth = ref 0 in
+    for k = 1 to domains - 1 do
+      let v = (domain + k) mod domains in
+      let len = Deque.length s.deques.(v) in
+      if len > !depth then begin
+        depth := len;
+        victim := v
+      end
+    done;
+    if !victim < 0 then None
+    else
+      match Deque.steal_half s.deques.(!victim) with
+      | [] -> None
+      | t :: rest as batch ->
+        if charge_comm then
+          List.iter
+            (fun u ->
+              let h = Schedule.proc sched u in
+              if h <> domain then
+                s.not_before.(u) <-
+                  now +. Machine.comm_time machine ~src:h ~dst:domain ~cost:mig_cost.(u))
+            batch;
+        Deque.push_front_batch s.deques.(domain) rest;
+        Some (!victim, t, List.length batch)
+  in
+  dynamic ~who:"Virtual_clock.run_affinity" ~charge_comm ~faults ~domains g ~seed
+    ~steal
+    ~route:(fun s ~domain su ->
+      let h = Schedule.proc sched su in
+      if s.dead.(h) then domain else h)
+    ~hit:(fun ~domain ~stolen:_ t -> Schedule.proc sched t = domain)

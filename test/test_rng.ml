@@ -80,18 +80,18 @@ let test_shuffle_permutation () =
 let test_parallel_map () =
   let xs = List.init 100 Fun.id in
   Alcotest.(check (list int)) "sequential fallback" (List.map (fun x -> x * x) xs)
-    (Parallel.map (fun x -> x * x) xs);
+    (Workers.map (fun x -> x * x) xs);
   Alcotest.(check (list int)) "parallel equals sequential"
     (List.map (fun x -> x * x) xs)
-    (Parallel.map ~domains:4 (fun x -> x * x) xs);
+    (Workers.map ~domains:4 (fun x -> x * x) xs);
   Alcotest.(check (list int)) "more domains than work" [ 1; 2 ]
-    (Parallel.map ~domains:8 (fun x -> x) [ 1; 2 ]);
-  Alcotest.(check (list int)) "empty input" [] (Parallel.map ~domains:4 Fun.id []);
-  check_bool "recommended at least 1" true (Parallel.recommended_domains () >= 1)
+    (Workers.map ~domains:8 (fun x -> x) [ 1; 2 ]);
+  Alcotest.(check (list int)) "empty input" [] (Workers.map ~domains:4 Fun.id []);
+  check_bool "recommended at least 1" true (Workers.recommended_domains () >= 1)
 
 let test_parallel_map_exception () =
   match
-    Parallel.map ~domains:3
+    Workers.map ~domains:3
       (fun x -> if x = 7 then failwith "boom" else x)
       (List.init 20 Fun.id)
   with
@@ -102,7 +102,7 @@ let qsuite =
   [
     qtest "parallel map equals List.map" QCheck.(pair (list int) (int_range 1 6))
       (fun (xs, domains) ->
-        Parallel.map ~domains (fun x -> (2 * x) + 1) xs
+        Workers.map ~domains (fun x -> (2 * x) + 1) xs
         = List.map (fun x -> (2 * x) + 1) xs);
     qtest "int g b in [0, b)" QCheck.(pair (int_range 1 1000) small_int)
       (fun (bound, seed) ->

@@ -283,6 +283,18 @@ let prop_virtual_steal_valid (p, domains) =
   done;
   Array.fold_left ( + ) 0 v.R.Virtual_clock.per_domain_tasks = n
 
+(* Six independent tasks dealt 0,2,4 / 1,3,5 to two domains; domain 1
+   dies before taking anything, so domain 0 steals its whole deque — each
+   steal a recovery, as the real stealing engine counts them. *)
+let test_virtual_steal_counts_recovered () =
+  let g = Flb_workloads.Shapes.independent ~tasks:6 in
+  let faults = Result.get_ok (R.Fault.parse "kill:1:0") in
+  let v = R.Virtual_clock.run_steal ~faults ~domains:2 g in
+  check_bool "complete" true (R.Virtual_clock.complete v);
+  check_int "one domain died" 1 v.R.Virtual_clock.killed;
+  check_int "three steals" 3 v.R.Virtual_clock.steals;
+  check_int "every steal took from the dead deque" 3 v.R.Virtual_clock.recovered
+
 (* --- Virtual affinity: deterministic locality-aware stealing --- *)
 
 let test_virtual_affinity_fig1 () =
@@ -603,3 +615,7 @@ let suite =
         qtest ~count:40 "virtual affinity: bit-identical replays, every scheduler"
           arb_scheduling_case prop_affinity_deterministic;
       ]
+  @ [
+      Alcotest.test_case "virtual steal counts recovered tasks (kill:1:0)" `Quick
+        test_virtual_steal_counts_recovered;
+    ]
