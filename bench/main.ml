@@ -240,17 +240,20 @@ let run_ablation ~tasks ~instances =
 
 let run_complexity ~quick =
   section "Complexity scaling: time per task and FLB queue ops vs V and P";
+  let repeats = if quick then 1 else 3 in
   let cells =
     E.Complexity_exp.run
       ~sizes:(if quick then [ 250; 1000 ] else [ 250; 500; 1000; 2000; 4000 ])
-      ~repeats:(if quick then 1 else 3) ()
+      ~repeats ()
+    @ E.Complexity_exp.run ~sizes:[ 2000 ] ~procs:[ 2; 8; 64; 512; 1024 ] ~repeats ()
   in
   print_string (E.Complexity_exp.render cells);
   print_string
-    "Expected: FLB/FCP ns-per-task roughly flat in V and P (the paper's\n\
-     O(V(logW + logP) + E) and O(VlogP + E) bounds); ETF ns-per-task\n\
-     growing with both (O(W(E+V)P)). FLB queue ops per task stay below a\n\
-     small constant (each task enters and leaves at most two queues).\n"
+    "Expected: FLB/FCP ns-per-task roughly flat in V and P up to P = 1024\n\
+     (the paper's O(V(logW + logP) + E) and O(VlogP + E) bounds); ETF\n\
+     ns-per-task growing with both (O(W(E+V)P)), swept to P = 32 only.\n\
+     FLB queue ops per task stay below a small constant (each task enters\n\
+     and leaves at most two queues).\n"
 
 (* --- Duplication study (extension experiment E8) --- *)
 
@@ -418,9 +421,10 @@ let run_regress_check ~baseline_path =
       (List.length baseline.E.Regress.entries);
     let current = E.Regress.run ~quick:true () in
     print_string (E.Regress.render current);
-    (* Only allocation is checked, and only against baseline entries of
-       the same task count — the baseline carries a quick section for
-       exactly this comparison. Wall time is never checked. *)
+    (* Allocation is checked against baseline entries of the same task
+       count — the baseline carries a quick section for exactly this
+       comparison. Wall time is only compared within this run, by the
+       FLB P-sweep gate. *)
     (match E.Regress.check ~baseline ~current ~tolerance:0.5 with
     | Ok () -> Printf.printf "[regress-check] allocation metrics match baseline\n%!"
     | Error errors ->

@@ -1435,7 +1435,10 @@ let experiment_cmd =
       let cells = E.Nsl_exp.run ~suite:(E.Workload_suite.fig4_suite ~tasks ()) () in
       print_string (if csv then E.Nsl_exp.to_csv cells else E.Nsl_exp.render cells)
     | "complexity" ->
-      let cells = E.Complexity_exp.run () in
+      let cells =
+        E.Complexity_exp.run ()
+        @ E.Complexity_exp.run ~sizes:[ 2000 ] ~procs:[ 2; 8; 64; 512; 1024 ] ()
+      in
       print_string
         (if csv then E.Complexity_exp.to_csv cells else E.Complexity_exp.render cells)
     | "duplication" ->

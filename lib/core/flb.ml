@@ -1,6 +1,7 @@
 open! Flb_taskgraph
 open! Flb_platform
 module Flat_heap = Flb_heap.Flat_heap
+module Family = Flat_heap.Family
 module Probe = Flb_obs.Probe
 
 type tie_break = Bottom_level | Task_id
@@ -55,11 +56,12 @@ type state = {
   (* Per ready task: timing facts computed once when it becomes ready
      (finish times of predecessors never change afterwards). *)
   lmt : float array;
-  ep : int array; (* enabling processor, -1 for entry tasks *)
   emt_on_ep : float array;
-  (* The paper's queues. *)
-  emt_ep : Flat_heap.t array; (* per proc: EP tasks by (EMT, tb) *)
-  lmt_ep : Flat_heap.t array; (* per proc: EP tasks by (LMT, tb) *)
+  (* The paper's queues. A ready task is in at most one EP list (its
+     enabling processor's), so each per-processor family shares one
+     task-indexed universe: O(V + P) state, not P graph-sized heaps. *)
+  emt_ep : Family.t; (* list p: EP tasks of proc p by (EMT, tb) *)
+  lmt_ep : Family.t; (* list p: EP tasks of proc p by (LMT, tb) *)
   non_ep : Flat_heap.t; (* by (LMT, tb) *)
   active_procs : Flat_heap.t; (* by (min EST of enabled EP task, tb) *)
   all_procs : Flat_heap.t; (* by (PRT, 0) *)
@@ -94,10 +96,9 @@ let create_state ~probe options sched =
     options;
     blevel;
     lmt = Array.make n 0.0;
-    ep = Array.make n (-1);
     emt_on_ep = Array.make n 0.0;
-    emt_ep = Array.init p (fun _ -> Flat_heap.create ~universe:n);
-    lmt_ep = Array.init p (fun _ -> Flat_heap.create ~universe:n);
+    emt_ep = Family.create ~lists:p ~universe:n;
+    lmt_ep = Family.create ~lists:p ~universe:n;
     non_ep = Flat_heap.create ~universe:n;
     active_procs = Flat_heap.create ~universe:p;
     all_procs = Flat_heap.create ~universe:p;
@@ -112,10 +113,10 @@ let create_state ~probe options sched =
    queue against the processor's ready time (O(1), as in the paper). *)
 let refresh_active st p =
   Probe.proc_queue_op st.probe;
-  let head = Flat_heap.peek st.emt_ep.(p) in
+  let head = Family.peek st.emt_ep p in
   if head < 0 then Flat_heap.remove st.active_procs p
   else begin
-    let emt = Flat_heap.primary st.emt_ep.(p) head in
+    let emt = Family.primary st.emt_ep head in
     let prt = Schedule.prt st.sched p in
     let est = if emt > prt then emt else prt in
     Flat_heap.update st.active_procs ~elt:p ~primary:est
@@ -133,7 +134,6 @@ let enqueue_ready st t =
      lower bound max(LMT, PRT) stays valid — EMT <= LMT on any
      processor. Only seeded (fault-recovery) schedules mask procs. *)
   let ep = if ep >= 0 && not (Schedule.proc_alive st.sched ep) then -1 else ep in
-  st.ep.(t) <- ep;
   if ep < 0 then begin
     Probe.task_queue_op st.probe;
     Flat_heap.add st.non_ep ~elt:t ~primary:st.lmt.(t) ~secondary:tb
@@ -148,8 +148,8 @@ let enqueue_ready st t =
     end
     else begin
       Probe.task_queue_ops st.probe 2;
-      Flat_heap.add st.emt_ep.(ep) ~elt:t ~primary:st.emt_on_ep.(t) ~secondary:tb;
-      Flat_heap.add st.lmt_ep.(ep) ~elt:t ~primary:st.lmt.(t) ~secondary:tb;
+      Family.add st.emt_ep ep ~elt:t ~primary:st.emt_on_ep.(t) ~secondary:tb;
+      Family.add st.lmt_ep ep ~elt:t ~primary:st.lmt.(t) ~secondary:tb;
       refresh_active st ep
     end
   end
@@ -159,19 +159,19 @@ let enqueue_ready st t =
    first. *)
 let demote_stale_ep_tasks st p =
   let prt = Schedule.prt st.sched p in
-  let q = st.lmt_ep.(p) in
+  let q = st.lmt_ep in
   let continue = ref true in
   while !continue do
-    let t = Flat_heap.peek q in
+    let t = Family.peek q p in
     if t < 0 then continue := false
     else begin
-      let lmt = Flat_heap.primary q t in
+      let lmt = Family.primary q t in
       if lmt < prt then begin
-        let tb = Flat_heap.secondary q t in
+        let tb = Family.secondary q t in
         Probe.demotion st.probe;
         Probe.task_queue_ops st.probe 3;
-        Flat_heap.remove q t;
-        Flat_heap.remove st.emt_ep.(p) t;
+        Family.remove q t;
+        Family.remove st.emt_ep t;
         Flat_heap.add st.non_ep ~elt:t ~primary:lmt ~secondary:tb
       end
       else continue := false
@@ -186,7 +186,7 @@ let choose st =
   let ne_t = Flat_heap.peek st.non_ep in
   if ne_t < 0 then begin
     (* EP candidate only; the ready set is never empty mid-run. *)
-    st.sel_task <- Flat_heap.peek st.emt_ep.(ep_p);
+    st.sel_task <- Family.peek st.emt_ep ep_p;
     st.sel_proc <- ep_p;
     st.sel_est.(0) <- Flat_heap.primary st.active_procs ep_p
   end
@@ -204,7 +204,7 @@ let choose st =
       else not st.options.prefer_non_ep_on_tie
     in
     if take_ep then begin
-      st.sel_task <- Flat_heap.peek st.emt_ep.(ep_p);
+      st.sel_task <- Family.peek st.emt_ep ep_p;
       st.sel_proc <- ep_p;
       st.sel_est.(0) <- Flat_heap.primary st.active_procs ep_p
     end
@@ -220,7 +220,7 @@ let ep_candidate st =
   match Flat_heap.peek st.active_procs with
   | -1 -> None
   | p ->
-    let t = Flat_heap.peek st.emt_ep.(p) in
+    let t = Family.peek st.emt_ep p in
     Some { task = t; proc = p; est = Flat_heap.primary st.active_procs p }
 
 let non_ep_candidate st =
@@ -235,12 +235,12 @@ let non_ep_candidate st =
 
 let snapshot st index ~chosen =
   let ep_lists = ref [] in
-  for p = Array.length st.emt_ep - 1 downto 0 do
+  for p = Family.lists st.emt_ep - 1 downto 0 do
     let entries =
       List.map
         (fun (t, _) ->
           { task = t; emt = st.emt_on_ep.(t); lmt = st.lmt.(t); blevel = st.blevel.(t) })
-        (Flat_heap.to_sorted_list st.emt_ep.(p))
+        (Family.to_sorted_list st.emt_ep p)
     in
     if entries <> [] then ep_lists := (p, entries) :: !ep_lists
   done;
@@ -266,10 +266,9 @@ let commit st =
     Flat_heap.remove st.non_ep t
   end
   else begin
-    let ep = st.ep.(t) in
     Probe.task_queue_ops st.probe 2;
-    Flat_heap.remove st.emt_ep.(ep) t;
-    Flat_heap.remove st.lmt_ep.(ep) t
+    Family.remove st.emt_ep t;
+    Family.remove st.lmt_ep t
   end;
   Probe.phase_end st.probe Probe.Phase.Queue;
   (* On the paper's uniform machine the queue-derived EST is exact; on a

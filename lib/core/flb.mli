@@ -18,9 +18,14 @@ open! Flb_platform
       non-EP queue ordered by LMT and a global processor queue ordered
       by ready time.
 
-    Every queue is an {!Flb_heap.Flat_heap} (an addressable binary heap
-    over unboxed float keys), so one iteration costs O(log W + log P)
-    amortized and the whole schedule O(V (log W + log P) + E).
+    Every queue is an addressable binary heap over unboxed float keys.
+    The non-EP and processor queues are {!Flb_heap.Flat_heap}s; the
+    per-processor EP queues are two {!Flb_heap.Flat_heap.Family}s (one
+    by EMT, one by LMT), each P disjoint heaps over one task-indexed
+    universe, since a ready task sits in at most one EP list. The queue
+    state is therefore O(V + P), one iteration costs O(log W + log P)
+    amortized and the whole schedule O(V (log W + log P) + E), at every
+    P.
 
     Tie-breaking follows the paper: queue ties prefer the larger bottom
     level (longest exit path, computation + communication), and when

@@ -28,7 +28,12 @@ val run :
   unit ->
   cell list
 (** Defaults: FLB, FCP and ETF on Stencil graphs of
-    V in {250, 500, 1000, 2000, 4000}, P in {4, 32}, 3 repeats. *)
+    V in {250, 500, 1000, 2000, 4000}, P in {4, 32}, 3 repeats. ETF is
+    skipped at P > 32, the range of the paper's Fig. 2, since its cost
+    per task grows linearly in P. The sweep over P is
+    [run ~sizes:[2000] ~procs:[2; 8; 64; 512; 1024] ()]: FLB's and FCP's
+    queue state is O(V + P), so their time per task should grow no
+    faster than log P. *)
 
 val render : cell list -> string
 

@@ -16,19 +16,30 @@ let suite_procs = 8
 
 let suite_ccr = 1.0
 
+(* Machine sizes at which the quick suite also measures FLB and FCP, for
+   the gates in [check]: FCP is the paper's O(V log P + E) reference, so
+   FLB's allocation is held to a multiple of it at every P, and FLB's
+   time per task to a bounded growth from the smallest P to the largest. *)
+let sweep_procs = [ 2; 8; 64; 512; 1024 ]
+
 let measure ~repeats (algo : Registry.t) graph machine =
   let v = max 1 (Taskgraph.num_tasks graph) in
   (* Warm-up run: faults in lazily materialized views so the measured
      runs see only steady-state behaviour. *)
   ignore (algo.Registry.run graph machine);
-  (* Both metrics are best-of-N. Time for the usual scheduling-noise
-     reasons; allocation because [Gc.allocated_bytes] deltas sporadically
-     include a large runtime-internal lump (~900 KB on OCaml 5.1) that is
-     unrelated to the scheduler under test. The mutator's own allocation
-     is deterministic, so the minimum over repeats is the clean figure. *)
+  (* Each measured run starts on an empty minor heap. A minor collection
+     inside the run adds a runtime-internal lump (0.9 or 1.8 MB with
+     OCaml 5.1's default minor heap) to the [Gc.allocated_bytes] delta,
+     and emptying the minor heap first keeps it out only of runs that no
+     collection interrupts. On the full (V ≈ 2000) suite, 8 of the 15
+     runs (MCP on every workload, FLB and DSC-LLB on Stencil and Laplace,
+     FCP on Laplace) carry the lump on every repeat, so best-of-N does not
+     remove it there; with OCAMLRUNPARAM=s=4M none of them does. Time is best-of-N for the usual scheduling-noise
+     reasons. *)
   let best_dt = ref Float.infinity in
   let best_bytes = ref Float.infinity in
   for _ = 1 to repeats do
+    Gc.minor ();
     let bytes_before = Gc.allocated_bytes () in
     let t0 = Unix.gettimeofday () in
     ignore (algo.Registry.run graph machine);
@@ -44,24 +55,33 @@ let measure ~repeats (algo : Registry.t) graph machine =
 let run ?(quick = false) ?repeats () =
   let repeats = match repeats with Some r -> r | None -> if quick then 3 else 5 in
   let tasks = if quick then 400 else 2000 in
-  let machine = Flb_platform.Machine.clique ~num_procs:suite_procs in
+  let cells =
+    List.map (fun algo -> (algo, suite_procs)) Registry.paper_set
+    @
+    if quick then
+      List.concat_map
+        (fun p -> if p = suite_procs then [] else [ (Registry.flb, p); (Registry.fcp, p) ])
+        sweep_procs
+    else []
+  in
   let entries =
     List.concat_map
       (fun workload ->
         let graph = Workload_suite.instance workload ~ccr:suite_ccr ~seed:1 in
         List.map
-          (fun (algo : Registry.t) ->
+          (fun ((algo : Registry.t), procs) ->
+            let machine = Flb_platform.Machine.clique ~num_procs:procs in
             let ns_per_task, bytes_per_task = measure ~repeats algo graph machine in
             {
               scheduler = algo.Registry.name;
               workload = workload.Workload_suite.name;
               tasks = Taskgraph.num_tasks graph;
-              procs = suite_procs;
+              procs;
               ccr = suite_ccr;
               ns_per_task;
               bytes_per_task;
             })
-          Registry.paper_set)
+          cells)
       (Workload_suite.fig4_suite ~tasks ())
   in
   { mode = (if quick then "quick" else "full"); entries }
@@ -346,8 +366,72 @@ let of_json text =
 
 let abs_slack_bytes = 64.0
 
+let flb_over_fcp_bytes = 2.0
+
+let flb_ns_growth = 4.0
+
+(* The gates on the P sweep read one quick report alone. Every
+   workload must carry FLB and FCP at every P of [sweep_procs]. The
+   timing gate takes the median over workloads of FLB's P = 1024 / P = 2
+   ratio, so one noisy cell cannot fail it on its own. *)
+let sweep_errors current =
+  let find scheduler (workload, tasks) procs =
+    List.find_opt
+      (fun c ->
+        c.scheduler = scheduler && c.workload = workload && c.tasks = tasks
+        && c.procs = procs)
+      current.entries
+  in
+  let workloads =
+    List.sort_uniq compare (List.map (fun e -> (e.workload, e.tasks)) current.entries)
+  in
+  let flb = Registry.flb.Registry.name and fcp = Registry.fcp.Registry.name in
+  let bytes_errors =
+    List.concat_map
+      (fun ((workload, tasks) as w) ->
+        List.filter_map
+          (fun p ->
+            match (find flb w p, find fcp w p) with
+            | Some f, Some c when f.bytes_per_task > flb_over_fcp_bytes *. c.bytes_per_task ->
+              Some
+                (Printf.sprintf "FLB/%s/P=%d/V=%d: bytes/task %.1f > %g x FCP's %.1f"
+                   workload p tasks f.bytes_per_task flb_over_fcp_bytes c.bytes_per_task)
+            | Some _, Some _ -> None
+            | _ ->
+              Some
+                (Printf.sprintf "%s/P=%d/V=%d: FLB or FCP missing from the quick P sweep"
+                   workload p tasks))
+          sweep_procs)
+      workloads
+  in
+  let p_lo = List.hd sweep_procs and p_hi = List.fold_left max 0 sweep_procs in
+  let ratios =
+    List.filter_map
+      (fun w ->
+        match (find flb w p_lo, find flb w p_hi) with
+        | Some lo, Some hi -> Some (hi.ns_per_task /. lo.ns_per_task)
+        | _ -> None)
+      workloads
+    |> List.sort compare |> Array.of_list
+  in
+  let n = Array.length ratios in
+  let time_errors =
+    if n = 0 then []
+    else
+      let median = (ratios.((n - 1) / 2) +. ratios.(n / 2)) /. 2.0 in
+      if median <= flb_ns_growth then []
+      else
+        [
+          Printf.sprintf
+            "FLB: median ns/task ratio P=%d / P=%d over %d workloads %.2f > %g (%s)"
+            p_hi p_lo n median flb_ns_growth
+            (String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.2f") ratios)));
+        ]
+  in
+  bytes_errors @ time_errors
+
 let check ~baseline ~current ~tolerance =
-  let errors = ref [] in
+  let errors = ref (if current.mode = "quick" then List.rev (sweep_errors current) else []) in
   List.iter
     (fun cur ->
       match

@@ -59,3 +59,52 @@ val iter : (int -> unit) -> t -> unit
 val to_sorted_list : t -> (int * (float * float)) list
 (** Non-destructive; ascending by key then element id. For tests and
     trace snapshots (allocates freely). *)
+
+(** {1 Families of disjoint heaps}
+
+    [P] min-heaps over one shared element universe, for queues whose
+    lists partition their elements — FLB's per-processor EP lists, where
+    a ready task sits in the list of its enabling processor only. The
+    key and position arrays ([owner], [pos] and both key components) are
+    indexed by element and shared by every list; each list owns only an
+    int array of its members, grown by doubling. A family over [P] lists
+    and [V] elements therefore holds O(V + P) state where [P] separate
+    {!t}s would hold O(P·V). Order, sift code and tie-breaking are those
+    of {!t}: list [l] behaves exactly like a {!t} holding the same
+    elements with the same keys. *)
+module Family : sig
+  type t
+
+  val create : lists:int -> universe:int -> t
+  (** [create ~lists ~universe]: lists [0 .. lists-1] over elements
+      [0 .. universe-1], all empty. Allocates four arrays of length
+      [universe] and two of length [lists]; a list's member array is
+      allocated on its first {!add}. *)
+
+  val lists : t -> int
+
+  val primary : t -> int -> float
+  (** @raise Not_found if the element is in no list. *)
+
+  val secondary : t -> int -> float
+  (** @raise Not_found if the element is in no list. *)
+
+  val add : t -> int -> elt:int -> primary:float -> secondary:float -> unit
+  (** [add f l ~elt ~primary ~secondary] inserts [elt] into list [l].
+      Amortized O(log n) in the list's size [n]; allocates only when the
+      list's member array doubles.
+      @raise Invalid_argument if [l] or [elt] is out of range, or [elt]
+      is already in some list. *)
+
+  val remove : t -> int -> unit
+  (** Removes an element from the list holding it; no-op if it is in
+      none. *)
+
+  val peek : t -> int -> int
+  (** Minimum element of a list, or [-1] when the list is empty. O(1),
+      never allocates. *)
+
+  val to_sorted_list : t -> int -> (int * (float * float)) list
+  (** One list's elements, ascending by key then element id, as
+      {!to_sorted_list} for a {!t}. For tests and trace snapshots. *)
+end

@@ -140,7 +140,62 @@ let test_complexity_exp_smoke () =
     check_bool "peak ready recorded" true (c.E.Complexity_exp.peak_ready > 0)
   | None -> Alcotest.fail "no FLB cell");
   check_bool "render" true (String.length (E.Complexity_exp.render cells) > 0);
-  check_bool "csv" true (String.length (E.Complexity_exp.to_csv cells) > 0)
+  check_bool "csv" true (String.length (E.Complexity_exp.to_csv cells) > 0);
+  (* The P sweep keeps ETF within the paper's P <= 32. *)
+  let sweep = E.Complexity_exp.run ~sizes:[ 100 ] ~procs:[ 2; 64 ] ~repeats:1 () in
+  Alcotest.(check (list (pair string int)))
+    "P sweep cells"
+    [ ("FLB", 2); ("FCP", 2); ("ETF", 2); ("FLB", 64); ("FCP", 64) ]
+    (List.map (fun c -> (c.E.Complexity_exp.algorithm, c.E.Complexity_exp.procs)) sweep)
+
+(* The P-sweep gates read the current report alone; the baseline here
+   matches it exactly, so only the gates can fail. [flb] gives FLB's
+   (ns/task, bytes/task) at P = 1024 on each workload. *)
+let test_regress_sweep_gates () =
+  let entry scheduler workload procs ns_per_task bytes_per_task =
+    {
+      E.Regress.scheduler;
+      workload;
+      tasks = 400;
+      procs;
+      ccr = 1.0;
+      ns_per_task;
+      bytes_per_task;
+    }
+  in
+  let check entries =
+    let r = { E.Regress.mode = "quick"; entries } in
+    match E.Regress.check ~baseline:r ~current:r ~tolerance:0.5 with
+    | Ok () -> 0
+    | Error es -> List.length es
+  in
+  let sweep flb =
+    List.concat_map
+      (fun (workload, (hi_ns, hi_bytes)) ->
+        List.concat_map
+          (fun p ->
+            let ns, bytes = if p = 1024 then (hi_ns, hi_bytes) else (1000.0, 300.0) in
+            [ entry "FLB" workload p ns bytes; entry "FCP" workload p 700.0 350.0 ])
+          [ 2; 8; 64; 512; 1024 ])
+      (List.combine [ "LU"; "Stencil"; "Laplace" ] flb)
+  in
+  let ok = (4000.0, 700.0) in
+  check_int "within both gates" 0 (check (sweep [ ok; ok; ok ]));
+  check_int "bytes > 2x FCP" 1 (check (sweep [ ok; (4000.0, 701.0); ok ]));
+  check_int "one slow workload: median holds" 0
+    (check (sweep [ ok; (4001.0, 700.0); ok ]));
+  check_int "ns growth > 4x in the median" 1
+    (check (sweep [ ok; (4001.0, 700.0); (9000.0, 700.0) ]));
+  check_int "missing sweep entry" 1
+    (check
+       (List.filter
+          (fun e ->
+            not
+              (e.E.Regress.scheduler = "FCP" && e.E.Regress.procs = 512
+             && e.E.Regress.workload = "LU"))
+          (sweep [ ok; ok; ok ])));
+  let parent = (28000.0, 66000.0) in
+  check_int "parent-like: every gate" 4 (check (sweep [ parent; parent; parent ]))
 
 let test_duplication_exp_smoke () =
   let cells = E.Duplication_exp.run ~ccrs:[ 2.0 ] ~procs:[ 4 ] ~tasks:60 () in
@@ -219,4 +274,5 @@ let suite =
     Alcotest.test_case "granularity experiment smoke" `Quick test_granularity_exp_smoke;
     Alcotest.test_case "contention experiment smoke" `Quick test_contention_exp_smoke;
     Alcotest.test_case "table" `Quick test_table;
+    Alcotest.test_case "regress: FLB P-sweep gates" `Quick test_regress_sweep_gates;
   ]

@@ -215,6 +215,59 @@ let qsuite =
              && Flat_heap.primary flat e = p
              && Flat_heap.secondary flat e = s)
         && Flat_heap.to_sorted_list flat = Indexed_heap.to_sorted_list indexed);
+    (* Keys come from {0, 1, 2} so equal primaries, equal secondaries and
+       id tie-breaks are the common case, not the rare one. *)
+    qtest ~count:300 "heap family agrees with one flat heap per list"
+      QCheck.(
+        triple (int_range 1 6) (int_range 1 40)
+          (list
+             (pair (int_range 0 2)
+                (pair (pair (int_range 0 7) (int_range 0 100))
+                   (pair (int_range 0 2) (int_range 0 2))))))
+      (fun (lists, universe, ops) ->
+        let family = Flat_heap.Family.create ~lists ~universe in
+        let flats = Array.init lists (fun _ -> Flat_heap.create ~universe) in
+        let holder e =
+          let found = ref (-1) in
+          Array.iteri (fun l h -> if Flat_heap.mem h e then found := l) flats;
+          !found
+        in
+        let family_holder e =
+          let found = ref (-1) in
+          for l = 0 to lists - 1 do
+            if List.mem_assoc e (Flat_heap.Family.to_sorted_list family l) then found := l
+          done;
+          !found
+        in
+        let agree l =
+          let e = Flat_heap.peek flats.(l) in
+          Flat_heap.Family.peek family l = e
+          && (e < 0
+             || Flat_heap.Family.primary family e = Flat_heap.primary flats.(l) e
+                && Flat_heap.Family.secondary family e = Flat_heap.secondary flats.(l) e)
+        in
+        List.for_all
+          (fun (op, ((raw_l, raw_e), (p, s))) ->
+            let l = raw_l mod lists and e = raw_e mod universe in
+            (match op with
+            | 0 ->
+              if holder e < 0 then begin
+                let primary = float_of_int p and secondary = float_of_int s in
+                Flat_heap.Family.add family l ~elt:e ~primary ~secondary;
+                Flat_heap.add flats.(l) ~elt:e ~primary ~secondary
+              end
+            | 1 ->
+              (match holder e with -1 -> () | h -> Flat_heap.remove flats.(h) e);
+              Flat_heap.Family.remove family e
+            | _ -> ());
+            family_holder e = holder e && agree l)
+          ops
+        && List.for_all
+             (fun l ->
+               agree l
+               && Flat_heap.Family.to_sorted_list family l
+                  = Flat_heap.to_sorted_list flats.(l))
+             (List.init lists Fun.id));
     qtest "flat heap drains in key order" QCheck.(list (float_range 0.0 50.0))
       (fun keys ->
         let keys = Array.of_list keys in
